@@ -1,5 +1,6 @@
 //! The durable feed cursor: `(file, byte offset)` plus progress
-//! counters, persisted next to the history store's `MANIFEST`.
+//! counters, one per collector, persisted next to the history store's
+//! `MANIFEST`.
 //!
 //! The cursor is the feed's whole restart contract. It is only ever
 //! written *after* the events covering its position are durable in
@@ -7,11 +8,15 @@
 //! day mark sealed them), and it is swapped atomically
 //! (`FEED_CURSOR.tmp` + rename), so at any crash point the disk holds
 //! a cursor that is *at or behind* the durable log — never ahead of
-//! it. A restarted follower replays the archive up to the cursor to
+//! it. A restarted feed replays the archive up to the cursor to
 //! rebuild monitor state without re-appending, then resumes at the
 //! exact byte offset; the narrow window where the log is ahead of the
 //! cursor (crash between seal and rename) is closed by per-shard
-//! sequence watermarks (see `follower.rs`).
+//! sequence watermarks (see `federation.rs`).
+//!
+//! Cursors are always written in the v2 format (`MFCUR002`, carrying
+//! the collector id). The v1 format (`MFCUR001`) of older builds is
+//! still read, so their stores are adopted in place.
 
 use moas_history::codec::crc32;
 use std::io;
@@ -19,15 +24,14 @@ use std::path::Path;
 
 /// File name of the cursor, in the history store directory.
 pub const CURSOR_NAME: &str = "FEED_CURSOR";
+/// Version-1 magic: read only, adopted as collector 0's position.
 const CURSOR_MAGIC: &str = "MFCUR001";
-/// Version-2 magic: the federated format, carrying the collector id.
-/// Version 1 is still parsed (and adopted as collector 0's position —
-/// the in-place upgrade path); a federation always rewrites v2.
+/// Version-2 magic: the written format, carrying the collector id.
 const CURSOR_MAGIC_V2: &str = "MFCUR002";
 
 /// File name of collector `id`'s cursor: collector 0 keeps the
-/// legacy `FEED_CURSOR` name (so a v1 single-follower cursor is
-/// adopted in place on upgrade), others append their id.
+/// legacy `FEED_CURSOR` name (so a v1 cursor is adopted in place on
+/// upgrade), others append their id.
 pub fn cursor_name(id: u32) -> String {
     if id == 0 {
         CURSOR_NAME.to_string()
@@ -36,7 +40,7 @@ pub fn cursor_name(id: u32) -> String {
     }
 }
 
-/// A follower's durable position in the collector archive.
+/// One collector's durable position in its archive.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FeedCursor {
     /// Update-file name currently being consumed (empty before the
@@ -56,32 +60,16 @@ pub struct FeedCursor {
     pub records: u64,
     /// Monitor shard count the events were generated with. Shard
     /// routing and per-shard sequence numbers depend on it, so a
-    /// resumed follower must run the same count — a mismatch is
-    /// refused rather than silently double-counting.
+    /// resumed feed must run the same count — a mismatch is refused
+    /// rather than silently double-counting.
     pub shards: u32,
-    /// Collector id this cursor belongs to (0 for the legacy single
-    /// follower; only rendered in the v2 format).
+    /// Collector id this cursor belongs to (0 for a single
+    /// follower).
     pub collector: u32,
 }
 
 impl FeedCursor {
-    /// Serializes to the single-line on-disk format, CRC-trailed.
-    fn render(&self) -> String {
-        let payload = format!(
-            "{CURSOR_MAGIC} file={} offset={} next_day={} files_done={} gaps={} records={} shards={}",
-            if self.file.is_empty() { "-" } else { &self.file },
-            self.offset,
-            self.next_day,
-            self.files_done,
-            self.gaps,
-            self.records,
-            self.shards,
-        );
-        format!("{payload} crc={:08x}\n", crc32(payload.as_bytes()))
-    }
-
-    /// Serializes to the version-2 format — the v1 line plus the
-    /// `collector=` field under the `MFCUR002` magic.
+    /// Serializes to the single-line v2 on-disk format, CRC-trailed.
     fn render_v2(&self) -> String {
         let payload = format!(
             "{CURSOR_MAGIC_V2} collector={} file={} offset={} next_day={} files_done={} gaps={} records={} shards={}",
@@ -98,8 +86,7 @@ impl FeedCursor {
     }
 
     /// Parses either on-disk format, verifying magic and CRC.
-    /// Returns the cursor and whether it was the v1 (pre-federation)
-    /// format — what tells a federation to migrate it.
+    /// Returns the cursor and whether it was the read-only v1 format.
     fn parse(text: &str) -> Result<(FeedCursor, bool), String> {
         let line = text.trim_end();
         let (payload, crc_field) = line
@@ -142,15 +129,10 @@ impl FeedCursor {
         Ok((cursor, v1))
     }
 
-    /// Persists atomically: write `FEED_CURSOR.tmp`, fsync, rename.
-    /// The legacy single-follower path — always the v1 format.
+    /// Persists this one cursor atomically: stage (write + fsync the
+    /// tmp file), then rename into place.
     pub fn persist(&self, dir: &Path) -> io::Result<()> {
-        let tmp = dir.join(format!("{CURSOR_NAME}.tmp"));
-        std::fs::write(&tmp, self.render())?;
-        let f = std::fs::File::open(&tmp)?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, dir.join(CURSOR_NAME))
+        self.stage_v2(dir)?.commit()
     }
 
     /// Stage one v2 cursor for an atomic multi-cursor swap: the tmp
@@ -171,8 +153,8 @@ impl FeedCursor {
         })
     }
 
-    /// Loads the cursor if one exists. `Ok(None)` when no cursor was
-    /// ever persisted (a fresh follower); a corrupt cursor is an
+    /// Loads collector 0's cursor if one exists. `Ok(None)` when no
+    /// cursor was ever persisted (a fresh feed); a corrupt cursor is an
     /// error — resuming from a guessed position could double-count,
     /// so the caller must decide (typically: fail loudly).
     pub fn load(dir: &Path) -> io::Result<Option<FeedCursor>> {
@@ -180,9 +162,8 @@ impl FeedCursor {
     }
 
     /// Loads collector `id`'s cursor if one exists, reporting whether
-    /// it was the pre-federation v1 format (only possible for
-    /// collector 0, whose file name is shared with the legacy
-    /// follower). A v2 cursor recorded for a different collector id
+    /// it was the v1 format (only possible for collector 0, whose file
+    /// name the v1 format used). A v2 cursor recorded for a different collector id
     /// is refused — the store was laid out for another topology.
     pub fn load_for(dir: &Path, id: u32) -> io::Result<Option<(FeedCursor, bool)>> {
         let path = dir.join(cursor_name(id));
@@ -284,10 +265,14 @@ mod tests {
         std::fs::rename(dir.join("FEED_CURSOR.2"), dir.join("FEED_CURSOR.3")).unwrap();
         assert!(FeedCursor::load_for(&dir, 3).is_err());
 
-        // A v1 cursor at the legacy name is adopted as collector 0's
-        // (and flagged for migration); rewriting it lands as v2.
+        // A v1 cursor at the legacy name, as older builds wrote it, is
+        // adopted as collector 0's (and flagged); rewriting it lands
+        // as v2.
         cursor.collector = 0;
-        cursor.persist(&dir).unwrap();
+        let v1 = "MFCUR001 file=updates.20010102.0000.mrt offset=128 next_day=1 \
+                  files_done=1 gaps=0 records=40 shards=4";
+        let legacy = format!("{v1} crc={:08x}\n", crc32(v1.as_bytes()));
+        std::fs::write(dir.join(CURSOR_NAME), legacy).unwrap();
         let (loaded, was_v1) = FeedCursor::load_for(&dir, 0).unwrap().unwrap();
         assert!(was_v1);
         assert_eq!(loaded, cursor);
@@ -306,6 +291,9 @@ mod tests {
         let cursor = FeedCursor::default();
         cursor.persist(&dir).unwrap();
         let path = dir.join(CURSOR_NAME);
+        assert!(std::fs::read_to_string(&path)
+            .unwrap()
+            .starts_with(CURSOR_MAGIC_V2));
         let mut text = std::fs::read_to_string(&path).unwrap();
         text = text.replace("offset=0", "offset=7");
         std::fs::write(&path, text).unwrap();

@@ -1,4 +1,6 @@
-//! Federated ingest: N collector archives, one monitor, one history.
+//! The ingest coordinator: N collector archives, one monitor, one
+//! history. A single follower ([`crate::FeedFollower`]) is the N = 1
+//! case.
 //!
 //! ```text
 //!   collector A dir ──┐                        ┌─▶ ingest_record_from(0, ..)
@@ -10,10 +12,9 @@
 //!   one MonitorEngine ──▶ one HistoryService ──▶ epochs advance once
 //! ```
 //!
-//! The [`Federation`] coordinator owns what the single
-//! [`crate::FeedFollower`] owns — the engine, the service sink, the
-//! durable cursors — but drives N per-collector scanning units
-//! instead of one. The design center is *determinism*: every record
+//! The [`Federation`] coordinator owns the engine, the service sink
+//! and the durable cursors, and drives one scanning unit per
+//! collector. The design center is *determinism*: every record
 //! the federation releases is released in the *global order*
 //! `(date, hhmm, collector id, file name)`, with exactly one file in
 //! flight across the whole federation at any time. That single
@@ -22,6 +23,29 @@
 //! replays every collector's archive up to its cursor **in the same
 //! merged order**, sink disabled, rebuilding the monitor state, the
 //! vantage masks, and the dedup window byte-for-byte.
+//!
+//! ## One collector is not a federation
+//!
+//! With N = 1 there is nothing to merge or corroborate: the engine
+//! tracks no vantage masks, no record is content-keyed or held in a
+//! dedup window, the feed series carry no `collector` label, and
+//! `/v1/feed` serves the single-feed shape. Every N records the same
+//! stage timers — a `feed_poll` root span per pass (the ambient
+//! ingest context the downstream stages attach to), plus `feed_tail`
+//! and `mrt_decode`.
+//!
+//! ## Durability protocol
+//!
+//! Cursors are only persisted after the events covering them are
+//! sealed (`HistoryService::checkpoint` or a day mark), so on disk
+//! they are always *at or behind* the durable log. The narrow crash
+//! window where the log holds events *beyond* a cursor (crash between
+//! seal and cursor rename) is closed by per-shard sequence watermarks
+//! taken from the durable tail at open: a regenerated event at or
+//! below the watermark is already on disk and is suppressed. The one
+//! case this cannot cover — that window *plus* a compaction that
+//! already folded the very segment into the table — is documented as
+//! at-least-once.
 //!
 //! ## Cross-collector dedup
 //!
@@ -42,8 +66,8 @@
 //!
 //! ## Cursor migration
 //!
-//! Collector 0's cursor keeps the legacy `FEED_CURSOR` file name. A
-//! pre-federation v1 cursor found there is adopted as collector 0's
+//! Collector 0's cursor keeps the `FEED_CURSOR` file name. A v1
+//! cursor an older build left there is adopted as collector 0's
 //! position (byte-for-byte: the resumed tail continues at the exact
 //! offset) and rewritten in the v2 format at the next checkpoint;
 //! collectors 1..N persist `FEED_CURSOR.<id>`. All cursors are staged
@@ -61,7 +85,6 @@
 //! silently de-corroborated view.
 
 use crate::cursor::{CursorStage, FeedCursor};
-use crate::follower::FeedProgress;
 use crate::layout::{scan_layout, FeedFile};
 use crate::status::{FeedGap, FeedStatus};
 use crate::tail::{FileTailer, TailPass};
@@ -70,13 +93,30 @@ use moas_monitor::metrics::EngineMetrics;
 use moas_monitor::{MonitorConfig, MonitorEngine, MonitorReport, SeqEvent};
 use moas_mrt::record::MrtRecord;
 use moas_net::Date;
-use moas_obs::Registry;
+use moas_obs::{Histogram, Registry, Stage};
 use serde::Value;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// What one `poll_once` (or `finalize`) pass did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FeedProgress {
+    /// Update files fully consumed this pass.
+    pub files_closed: u64,
+    /// Day marks issued this pass (real and gap days).
+    pub days_marked: u64,
+    /// Gap days detected this pass (one per collector that missed
+    /// the day).
+    pub gaps: u64,
+    /// MRT records released to the engine this pass.
+    pub records: u64,
+    /// Whether everything discovered has been consumed.
+    pub caught_up: bool,
+}
 
 /// One collector archive the federation follows.
 #[derive(Debug, Clone)]
@@ -223,8 +263,8 @@ fn slot_head_ts(file: &FeedFile) -> u32 {
         .saturating_add((file.hhmm / 100) as u32 * 3_600 + (file.hhmm % 100) as u32 * 60)
 }
 
-/// Per-collector scanning state: the [`crate::FeedFollower`]'s
-/// discovery half, without an engine or sink of its own.
+/// Per-collector scanning state: discovery and position, without an
+/// engine or sink of its own.
 struct CollectorUnit {
     id: u16,
     name: String,
@@ -245,42 +285,30 @@ struct CollectorUnit {
 }
 
 impl CollectorUnit {
-    /// The next unconsumed, in-window file — this collector's
-    /// candidate for the global merge.
-    fn next_file(&self, start_date: Date) -> Option<&FeedFile> {
-        self.layout
-            .iter()
-            .filter(|f| u32::try_from(start_date.days_until(&f.date)).is_ok())
-            .find(|f| {
-                self.done_key
+    /// In-window files discovered but not yet fully consumed, in
+    /// order; the first is this collector's candidate for the merge.
+    fn unconsumed(&self, start_date: Date) -> impl Iterator<Item = &FeedFile> {
+        self.layout.iter().filter(move |f| {
+            u32::try_from(start_date.days_until(&f.date)).is_ok()
+                && self
+                    .done_key
                     .as_ref()
                     .is_none_or(|k| f.sort_key() > (k.0, k.1, k.2.as_str()))
-            })
-    }
-
-    /// Files discovered but not yet fully consumed.
-    fn pending(&self, start_date: Date) -> u64 {
-        self.layout
-            .iter()
-            .filter(|f| u32::try_from(start_date.days_until(&f.date)).is_ok())
-            .filter(|f| {
-                self.done_key
-                    .as_ref()
-                    .is_none_or(|k| f.sort_key() > (k.0, k.1, k.2.as_str()))
-            })
-            .count() as u64
+        })
     }
 
     /// The unix timestamp of this collector's newest discovered file.
     fn newest_ts(&self) -> u64 {
-        self.layout
-            .iter()
-            .map(|f| {
-                let days = f.date.day_index().0.max(0) as u64;
-                days * 86_400 + (f.hhmm as u64 / 100) * 3_600 + (f.hhmm as u64 % 100) * 60
-            })
-            .max()
-            .unwrap_or(0)
+        self.layout.iter().map(slot_head_ts).max().unwrap_or(0) as u64
+    }
+
+    /// Tallies the current file's tail pathology (poisoned scan or
+    /// leftover partial bytes) exactly once.
+    fn note_bad_tail(&mut self) {
+        if !self.tail_noted {
+            self.tail_noted = true;
+            self.status.add_truncated_tail();
+        }
     }
 }
 
@@ -352,8 +380,12 @@ impl moas_serve::FeedStatusSource for FederationStatus {
     /// The single-feed JSON shape, aggregated across collectors, plus
     /// the federated extras: a `collectors` array (one block per
     /// vantage point) and the dedup counters. Gap rows carry the
-    /// collector that went dark.
+    /// collector that went dark. One collector is not a federation:
+    /// it serves its own block, the plain single-feed shape.
     fn status_json(&self) -> Value {
+        if let [single] = self.units.as_slice() {
+            return single.to_json();
+        }
         let snaps: Vec<_> = self.units.iter().map(|u| u.snapshot()).collect();
         let frontier = self
             .frontier
@@ -473,8 +505,10 @@ impl moas_serve::FeedStatusSource for FederationStatus {
             .unwrap_or(0)
     }
 
+    /// `None` for one collector: `/v1/collectors` then wraps the
+    /// single-feed block itself.
     fn collectors(&self) -> Option<Value> {
-        Some(self.collectors_json())
+        (self.units.len() > 1).then(|| self.collectors_json())
     }
 }
 
@@ -485,7 +519,16 @@ pub struct Federation {
     service: Arc<HistoryService>,
     engine: Option<MonitorEngine>,
     engine_metrics: Arc<EngineMetrics>,
+    /// The shared registry — the tracer lives here; each poll pass
+    /// opens a `feed_poll` root span and publishes it as the ambient
+    /// ingest context so downstream stages (decode, shard apply,
+    /// append, seal, publish) attach to the same trace.
     registry: Arc<Registry>,
+    /// Stage timers: one whole poll pass, one tail read over the
+    /// in-flight file, and the MRT decode loop inside it.
+    stage_poll: Histogram,
+    stage_tail: Stage,
+    stage_decode: Stage,
     units: Vec<CollectorUnit>,
     status: Arc<FederationStatus>,
     dedup: DedupWindow,
@@ -498,16 +541,15 @@ pub struct Federation {
     current: Option<(usize, FeedFile, FileTailer)>,
     days_marked: u64,
     bytes_since_checkpoint: u64,
-    /// A v1 cursor was adopted and must be rewritten as v2.
-    migrate_v1: bool,
-    /// `finalize` declared every in-flight head complete.
+    /// Set for the duration of one `finalize` pass: every in-flight
+    /// head is complete.
     finalizing: bool,
 }
 
 impl Federation {
     /// Opens a federation over `service`'s store, resuming from any
-    /// per-collector cursors found there (a legacy v1 `FEED_CURSOR`
-    /// is adopted as collector 0's position and migrated to v2 at the
+    /// per-collector cursors found there (a v1 `FEED_CURSOR` is
+    /// adopted as collector 0's position and migrated to v2 at the
     /// next checkpoint).
     pub fn open(config: FederationConfig, service: Arc<HistoryService>) -> io::Result<Federation> {
         Federation::open_with_registry(config, service, Arc::new(Registry::new()))
@@ -531,8 +573,15 @@ impl Federation {
                 "vantage masks are 64-bit: at most 64 collectors per federation",
             ));
         }
-        // The engine tracks corroboration exactly when federated.
+        // One collector is not a federation: the engine tracks no
+        // corroboration, nothing is deduplicated (no content keys, no
+        // window entries), and the status keeps the unlabeled series
+        // and the single-feed `/v1/feed` shape.
+        let federated = config.collectors.len() > 1;
         config.monitor.collectors = config.collectors.len();
+        if !federated {
+            config.dedup_window_secs = 0;
+        }
         let engine = MonitorEngine::with_registry(config.monitor, Arc::clone(&registry));
         let engine_metrics = engine.metrics_handle();
         service.attach_metrics(engine.metrics_handle());
@@ -547,7 +596,11 @@ impl Federation {
                     collector: id as u32,
                     ..FeedCursor::default()
                 },
-                status: Arc::new(FeedStatus::for_collector(&registry, &spec.name)),
+                status: Arc::new(if federated {
+                    FeedStatus::for_collector(&registry, &spec.name)
+                } else {
+                    FeedStatus::new(&registry)
+                }),
                 done_key: None,
                 seen: HashSet::new(),
                 ingested_dates: HashSet::new(),
@@ -564,6 +617,9 @@ impl Federation {
             dedup: DedupWindow::new(config.dedup_window_secs),
             engine: Some(engine),
             engine_metrics,
+            stage_poll: registry.stage_histogram("feed_poll"),
+            stage_tail: registry.stage("feed_tail"),
+            stage_decode: registry.stage("mrt_decode"),
             registry,
             units,
             status,
@@ -572,7 +628,6 @@ impl Federation {
             current: None,
             days_marked: 0,
             bytes_since_checkpoint: 0,
-            migrate_v1: false,
             finalizing: false,
             config,
             service,
@@ -598,6 +653,12 @@ impl Federation {
         self.units.iter().map(|u| u.cursor.clone()).collect()
     }
 
+    /// Collector 0's cursor and status block — the whole feed when
+    /// there is one collector.
+    pub(crate) fn first_collector(&self) -> (&FeedCursor, &Arc<FeedStatus>) {
+        (&self.units[0].cursor, &self.units[0].status)
+    }
+
     fn engine(&mut self) -> &mut MonitorEngine {
         self.engine.as_mut().expect("engine present until shutdown")
     }
@@ -617,10 +678,10 @@ impl Federation {
         let mut found = Vec::with_capacity(self.units.len());
         let mut any = false;
         for unit in &self.units {
-            let loaded = FeedCursor::load_for(&dir, unit.id as u32)?;
-            if let Some((cursor, v1)) = &loaded {
+            // A v1 cursor is adopted as is; every persist writes v2.
+            let loaded = FeedCursor::load_for(&dir, unit.id as u32)?.map(|(c, _)| c);
+            if let Some(cursor) = &loaded {
                 any = true;
-                self.migrate_v1 |= *v1;
                 if cursor.shards != 0 && cursor.shards as usize != self.config.monitor.shards {
                     return Err(bad(format!(
                         "collector {} cursor was written at {} monitor shards, federation \
@@ -629,13 +690,13 @@ impl Federation {
                     )));
                 }
             }
-            found.push(loaded.map(|(c, _)| c));
-        }
-        for unit in &mut self.units {
-            unit.layout = scan_layout(&unit.dir)?;
+            found.push(loaded);
         }
         if !any {
             return Ok(()); // a fresh federation: nothing to rebuild
+        }
+        for unit in &mut self.units {
+            unit.layout = scan_layout(&unit.dir)?;
         }
 
         // The replay plan: every file at or below its collector's
@@ -696,7 +757,6 @@ impl Federation {
             ))
         });
 
-        let frontier = frontier.expect("some cursor had a file");
         let mut replayed_next = 0u32;
         for entry in plan {
             let pos = self.day_pos(entry.file.date).expect("filtered above");
@@ -735,7 +795,7 @@ impl Federation {
             let unit = &mut self.units[entry.unit];
             unit.seen.insert(entry.file.name.clone());
             let is_frontier_file =
-                entry.is_target && (entry.file.date, entry.file.hhmm, unit.id) == frontier;
+                entry.is_target && Some((entry.file.date, entry.file.hhmm, unit.id)) == frontier;
             if is_frontier_file {
                 // The globally in-flight file: reopen mid-file.
                 self.current = Some((
@@ -802,6 +862,10 @@ impl Federation {
             self.status
                 .suppressed
                 .fetch_add(suppressed, Ordering::Relaxed);
+            if let [single] = self.units.as_slice() {
+                // Served as the whole feed's status block.
+                single.status.add_suppressed(suppressed);
+            }
         }
         fresh
     }
@@ -825,7 +889,6 @@ impl Federation {
         for stage in staged {
             stage.commit()?;
         }
-        self.migrate_v1 = false;
         self.bytes_since_checkpoint = 0;
         Ok(())
     }
@@ -887,6 +950,10 @@ impl Federation {
     /// identical in-window copies only corroborate.
     fn ingest_pass(&mut self, uidx: usize, pass: &TailPass, progress: &mut FeedProgress) {
         let collector = self.units[uidx].id;
+        if pass.bytes_read > 0 || !pass.records.is_empty() {
+            self.stage_decode
+                .observe(Duration::from_micros(pass.decode_micros));
+        }
         if !pass.records.is_empty() {
             let mut newest = 0u64;
             let mut released = 0u64;
@@ -897,16 +964,10 @@ impl Federation {
                     .observe_event_at(rec.timestamp as u64);
                 newest = newest.max(rec.timestamp as u64);
                 if self.dedup.admit(rec) {
-                    self.engine
-                        .as_mut()
-                        .expect("engine present")
-                        .ingest_record_from(collector, rec);
+                    self.engine().ingest_record_from(collector, rec);
                     released += 1;
                 } else {
-                    self.engine
-                        .as_mut()
-                        .expect("engine present")
-                        .corroborate_record(collector, rec);
+                    self.engine().corroborate_record(collector, rec);
                     deduped += 1;
                 }
             }
@@ -951,13 +1012,13 @@ impl Federation {
             unit.status.set_caught_up(caught_up);
             unit.status
                 .set_counts(unit.cursor.records, unit.cursor.gaps, self.days_marked);
-            unit.status
-                .set_files(unit.cursor.files_done, unit.pending(self.config.start_date));
+            let pending = unit.unconsumed(self.config.start_date).count() as u64;
+            unit.status.set_files(unit.cursor.files_done, pending);
             // Per-collector stream-time lag: how far this vantage
             // point's consumption trails its own newest file. The
             // global barrier makes a stalled collector visible here —
             // healthy collectors' unconsumed files accumulate lag.
-            let lag = if unit.pending(self.config.start_date) == 0 {
+            let lag = if pending == 0 {
                 0
             } else {
                 unit.newest_ts()
@@ -972,6 +1033,23 @@ impl Federation {
     /// `(date, hhmm, collector)` order, tail the single globally
     /// in-flight file. Returns what happened; call in a loop.
     pub fn poll_once(&mut self) -> io::Result<FeedProgress> {
+        let started = Instant::now();
+        // Root span of the ingest trace, published as the ambient
+        // context for the pass: tail and decode record under it
+        // directly, shard-apply contexts cross the channel with their
+        // batches, and the history append/seal/publish stages (driven
+        // from this thread) pick it up ambiently.
+        let registry = Arc::clone(&self.registry);
+        let span = registry.tracer().span("feed_poll");
+        registry.tracer().set_current(span.context());
+        let result = self.poll_pass();
+        registry.tracer().clear_current();
+        span.finish();
+        self.stage_poll.observe_duration(started.elapsed());
+        result
+    }
+
+    fn poll_pass(&mut self) -> io::Result<FeedProgress> {
         let mut progress = FeedProgress::default();
         for uidx in 0..self.units.len() {
             let layout = scan_layout(&self.units[uidx].dir)?;
@@ -979,6 +1057,7 @@ impl Federation {
                 Some((c, f, _)) if *c == uidx => Some(f.name.clone()),
                 _ => None,
             };
+            let start_date = self.config.start_date;
             let unit = &mut self.units[uidx];
             for file in &layout {
                 if unit.seen.contains(&file.name) {
@@ -986,11 +1065,13 @@ impl Federation {
                 }
                 unit.seen.insert(file.name.clone());
                 unit.status.add_file_seen();
+                // Anything below the selection floor is a late file
+                // the history cannot absorb.
                 let below_floor = unit
                     .done_key
                     .as_ref()
                     .is_some_and(|k| file.sort_key() <= (k.0, k.1, k.2.as_str()))
-                    || u32::try_from(self.config.start_date.days_until(&file.date)).is_err();
+                    || u32::try_from(start_date.days_until(&file.date)).is_err();
                 if below_floor && Some(&file.name) != current_name.as_ref() {
                     unit.status.add_late_file();
                 }
@@ -1009,7 +1090,8 @@ impl Federation {
                         .iter()
                         .enumerate()
                         .filter_map(|(idx, u)| {
-                            u.next_file(self.config.start_date)
+                            u.unconsumed(self.config.start_date)
+                                .next()
                                 .map(|f| (f.date, f.hhmm, idx, f.clone()))
                         })
                         .min_by(|a, b| {
@@ -1024,7 +1106,9 @@ impl Federation {
                         progress.caught_up = true;
                         break;
                     };
-                    let pos = self.day_pos(file.date).expect("filtered in next_file");
+                    let pos = self
+                        .day_pos(file.date)
+                        .expect("unconsumed files are in-window");
                     self.mark_days_before(pos, &mut progress)?;
                     let unit = &mut self.units[uidx];
                     if !unit.cursor.file.is_empty() && unit.cursor.file != file.name {
@@ -1036,13 +1120,16 @@ impl Federation {
                     self.persist_cursors()?;
                 }
                 Some((uidx, file, mut tailer)) => {
+                    let tail_started = Instant::now();
                     let pass = tailer.poll()?;
+                    self.stage_tail.observe(tail_started.elapsed());
                     self.current = Some((uidx, file, tailer));
                     self.ingest_pass(uidx, &pass, &mut progress);
                     let (uidx, file, mut tailer) = self.current.take().expect("just stored");
-                    if tailer.poisoned() && !self.units[uidx].tail_noted {
-                        self.units[uidx].tail_noted = true;
-                        self.units[uidx].status.add_truncated_tail();
+                    // A poisoned scan is surfaced the moment it is
+                    // detected, not when a newer file finalizes this one.
+                    if tailer.poisoned() {
+                        self.units[uidx].note_bad_tail();
                     }
 
                     // Final once a newer file exists in the *same*
@@ -1054,18 +1141,13 @@ impl Federation {
                             .iter()
                             .any(|f| f.sort_key() > file.sort_key());
                     if is_final {
+                        let unit = &mut self.units[uidx];
                         if tailer.pending_bytes() > 0 || tailer.poisoned() {
-                            if !self.units[uidx].tail_noted {
-                                self.units[uidx].tail_noted = true;
-                                self.units[uidx].status.add_truncated_tail();
-                            }
+                            unit.note_bad_tail();
                             tailer.finalize();
                         }
-                        {
-                            let unit = &mut self.units[uidx];
-                            unit.ingested_dates.insert(file.date);
-                            unit.done_key = Some((file.date, file.hhmm, file.name.clone()));
-                        }
+                        unit.ingested_dates.insert(file.date);
+                        unit.done_key = Some((file.date, file.hhmm, file.name.clone()));
                         self.current = Some((uidx, file, tailer));
                         self.durable_checkpoint()?;
                         self.current = None;
@@ -1099,8 +1181,12 @@ impl Federation {
     /// in the merged order and marking every covered day. What
     /// window-bounded replays and tests need.
     pub fn finalize(&mut self) -> io::Result<FeedProgress> {
+        // One-shot: a file landing after this call is tailed as
+        // in-flight again, not declared final on its first pass.
         self.finalizing = true;
-        let mut progress = self.poll_once()?;
+        let polled = self.poll_once();
+        self.finalizing = false;
+        let mut progress = polled?;
         // Every consumed file's day is complete: mark through the
         // last covered position.
         let last = self

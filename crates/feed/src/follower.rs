@@ -1,69 +1,28 @@
-//! The feed follower: turns a growing collector archive into a live
-//! monitor + history pipeline.
+//! The single-collector follower: a one-collector [`Federation`].
 //!
-//! ```text
-//!   collector dir ── scan_layout ──▶ timestamp-ordered update files
-//!        │ poll                          │ FileTailer (byte offset)
-//!        ▼                               ▼
-//!   FeedFollower ──▶ MonitorEngine.ingest_all ──▶ drain_events
-//!        │ day complete / checkpoint          │ (watermark-filtered)
-//!        ▼                                    ▼
-//!   engine.mark_day                 HistoryService.append
-//!   service.mark_day ◀─ epochs advance ─ service.checkpoint
-//!        │
-//!        └──▶ FEED_CURSOR (file + offset, atomic swap, next to MANIFEST)
-//! ```
+//! A deployment that follows one Route Views / RIS-style collector
+//! directory gets exactly the federated ingest path with N = 1 — the
+//! same discovery, tailing, resume replay, watermark duplicate
+//! suppression, day and gap marking, checkpointing and finalize —
+//! under the single-feed API. One collector is not a federation, so
+//! the coordinator runs no corroboration and no cross-collector
+//! dedup, registers the feed series without a `collector` label, and
+//! serves the plain single-feed `/v1/feed` shape.
 //!
-//! ## Durability protocol
-//!
-//! The cursor is only persisted after the events covering it are
-//! sealed (`HistoryService::checkpoint` or a day mark), so on disk
-//! the cursor is always *at or behind* the durable log. A restart
-//! rebuilds monitor state by replaying the archive up to the cursor
-//! with the sink disabled (deterministic: same records, same shard
-//! routing, same per-shard sequence numbers), then resumes at the
-//! exact byte offset. The narrow crash window where the log holds
-//! events *beyond* the cursor (crash between seal and cursor rename)
-//! is closed by per-shard sequence watermarks taken from the durable
-//! tail at open: any regenerated event at or below the watermark is
-//! already on disk and is suppressed rather than appended twice. The
-//! one case this cannot cover — that window *plus* a compaction that
-//! already folded the very segment into the table before the crash —
-//! is pathological (the daemon is woken by day marks, not
-//! checkpoints) and documented as at-least-once.
-//!
-//! ## Feed pathologies
-//!
-//! * **In-flight files** are tailed record-by-record; a partial
-//!   record at the end of the newest file simply waits for bytes.
-//! * **Out-of-order arrival** within a polling window is absorbed by
-//!   timestamp-ordered selection; a file arriving after the follower
-//!   has advanced past its slot is counted `late` and ignored (the
-//!   history cannot rewind).
-//! * **Truncated uploads**: once a newer file exists, leftover bytes
-//!   in the older file are a truncated tail — counted, skipped,
-//!   never poisoning the feed.
-//! * **Gaps**: a missing archive day is surfaced as a [`FeedGap`],
-//!   marked through the engine and service (conflicts stay open
-//!   across it), and tallied in `/v1/feed` — §VI longevity statistics
-//!   can see exactly which days were never observed.
+//! The durable cursor is collector 0's `FEED_CURSOR` in the v2
+//! format; a v1 cursor left by an older build is adopted in place
+//! and rewritten at the next checkpoint.
 
 use crate::cursor::FeedCursor;
-use crate::layout::{scan_layout, FeedFile};
-use crate::status::{FeedGap, FeedStatus};
-use crate::tail::FileTailer;
+use crate::federation::{Federation, FederationConfig, FeedProgress};
+use crate::status::FeedStatus;
 use moas_history::HistoryService;
-use moas_monitor::metrics::EngineMetrics;
-use moas_monitor::{MonitorConfig, MonitorEngine, MonitorReport, SeqEvent};
+use moas_monitor::{MonitorConfig, MonitorReport};
 use moas_net::Date;
-use moas_obs::{Histogram, Registry};
-use std::collections::{HashMap, HashSet};
+use moas_obs::Registry;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Follower tuning.
 #[derive(Debug, Clone)]
@@ -96,77 +55,10 @@ impl FeedConfig {
     }
 }
 
-/// What one [`FeedFollower::poll_once`] pass did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FeedProgress {
-    /// Update files fully consumed this pass.
-    pub files_closed: u64,
-    /// Day marks issued this pass (real and gap days).
-    pub days_marked: u64,
-    /// Gap days detected this pass.
-    pub gaps: u64,
-    /// MRT records ingested this pass.
-    pub records: u64,
-    /// Whether the follower has consumed everything discovered.
-    pub caught_up: bool,
-}
-
-/// Borrows a stored selection-floor key for allocation-free
-/// comparison against [`FeedFile::sort_key`].
-fn floor(k: &(Date, u16, String)) -> (Date, u16, &str) {
-    (k.0, k.1, k.2.as_str())
-}
-
-/// The unix timestamp a feed file's name encodes (UTC day + HHMM) —
-/// the same clock MRT record timestamps use, so the difference against
-/// the last ingested event is a real stream-time lag.
-fn file_head_ts(f: &FeedFile) -> u64 {
-    let days = f.date.day_index().0.max(0) as u64;
-    days * 86_400 + (f.hhmm as u64 / 100) * 3_600 + (f.hhmm as u64 % 100) * 60
-}
-
 /// A live follower over one collector directory, driving one
 /// [`HistoryService`].
 pub struct FeedFollower {
-    config: FeedConfig,
-    service: Arc<HistoryService>,
-    engine: Option<MonitorEngine>,
-    cursor: FeedCursor,
-    status: Arc<FeedStatus>,
-    /// Cached engine metrics handle — feeds the ingest-side watermark
-    /// of the `ingest_to_serve_lag` gauge.
-    engine_metrics: Arc<EngineMetrics>,
-    /// The shared registry — the tracer lives here; each poll pass
-    /// opens a `feed_poll` root span and publishes it as the ambient
-    /// ingest context so downstream stages (decode, shard apply,
-    /// append, seal, publish) attach to the same trace.
-    registry: Arc<Registry>,
-    /// Stage timers: one whole discovery-and-ingest pass.
-    stage_poll: Histogram,
-    /// Stage timers: one tail read over the in-flight file.
-    stage_tail: Histogram,
-    /// Stage timers: the MRT decode loop inside a tail pass.
-    stage_decode: Histogram,
-    /// Per-shard suppression watermarks from the durable tail at
-    /// resume: regenerated events at or below them are already on
-    /// disk.
-    watermarks: HashMap<usize, u64>,
-    /// Sort key of the last file fully consumed (selection floor).
-    done_key: Option<(Date, u16, String)>,
-    /// The file currently being tailed.
-    current: Option<(FeedFile, FileTailer)>,
-    /// Date of the most recent file whose records were ingested —
-    /// what distinguishes a real day mark from a gap mark.
-    last_ingested_date: Option<Date>,
-    /// Every file name ever observed (late-arrival detection).
-    seen: HashSet<String>,
-    /// Day marks issued live (status; cursor.next_day is durable).
-    days_marked: u64,
-    bytes_since_checkpoint: u64,
-    /// The current file's pathology (poison / truncated tail) has
-    /// been tallied — counted once, whether detected while in flight
-    /// or at finalization.
-    current_tail_noted: bool,
+    federation: Federation,
 }
 
 impl FeedFollower {
@@ -186,433 +78,34 @@ impl FeedFollower {
         service: Arc<HistoryService>,
         registry: Arc<Registry>,
     ) -> io::Result<FeedFollower> {
-        let status = Arc::new(FeedStatus::new(&registry));
-        let engine = MonitorEngine::with_registry(config.monitor, Arc::clone(&registry));
-        let engine_metrics = engine.metrics_handle();
-        let cursor = FeedCursor::load(service.dir())?;
-        let mut follower = FeedFollower {
-            engine: Some(engine),
-            cursor: FeedCursor::default(),
-            status,
-            engine_metrics,
-            stage_poll: registry.stage_histogram("feed_poll"),
-            stage_tail: registry.stage_histogram("feed_tail"),
-            stage_decode: registry.stage_histogram("mrt_decode"),
-            registry: Arc::clone(&registry),
-            watermarks: HashMap::new(),
-            done_key: None,
-            current: None,
-            last_ingested_date: None,
-            seen: HashSet::new(),
-            days_marked: 0,
-            bytes_since_checkpoint: 0,
-            current_tail_noted: false,
-            config,
-            service,
-        };
-        if let Some(engine) = &follower.engine {
-            follower.service.attach_metrics(engine.metrics_handle());
+        let name = config.archive_dir.display().to_string();
+        let config = FederationConfig {
+            monitor: config.monitor,
+            checkpoint_bytes: config.checkpoint_bytes,
+            ..FederationConfig::new(config.start_date)
         }
-        if let Some(cursor) = cursor {
-            follower.resume(cursor)?;
-        }
-        follower.status.set_running(true);
-        follower.publish_status(false);
-        Ok(follower)
+        .collector(name, config.archive_dir);
+        let federation = Federation::open_with_registry(config, service, registry)?;
+        Ok(FeedFollower { federation })
     }
 
     /// The live status block (wire it to a query server's `/v1/feed`).
     pub fn status(&self) -> Arc<FeedStatus> {
-        Arc::clone(&self.status)
+        Arc::clone(self.federation.first_collector().1)
     }
 
     /// The follower's current cursor (durable fields as of the last
     /// checkpoint).
     pub fn cursor(&self) -> &FeedCursor {
-        &self.cursor
-    }
-
-    fn engine(&mut self) -> &mut MonitorEngine {
-        self.engine.as_mut().expect("engine present until shutdown")
-    }
-
-    /// Day position of `date`; `None` for dates before the window.
-    fn day_pos(&self, date: Date) -> Option<u32> {
-        let d = self.config.start_date.days_until(&date);
-        u32::try_from(d).ok()
-    }
-
-    /// Replays the archive up to `cursor` with the sink disabled,
-    /// rebuilding deterministic monitor state, then arms the
-    /// suppression watermarks and resumes mid-file.
-    fn resume(&mut self, cursor: FeedCursor) -> io::Result<()> {
-        let bad = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
-        if cursor.shards != 0 && cursor.shards as usize != self.config.monitor.shards {
-            return Err(bad(format!(
-                "cursor was written at {} monitor shards, follower configured for {}: \
-                 shard routing and sequence numbers would not line up",
-                cursor.shards, self.config.monitor.shards
-            )));
-        }
-        if cursor.file.is_empty() {
-            // Cursor persisted before any file was opened: nothing to
-            // rebuild.
-            self.cursor = cursor;
-            self.status.add_resume();
-            return Ok(());
-        }
-        let layout = scan_layout(&self.config.archive_dir)?;
-        let target = layout
-            .iter()
-            .find(|f| f.name == cursor.file)
-            .cloned()
-            .ok_or_else(|| {
-                bad(format!(
-                    "cursor file {} is gone from the archive; cannot rebuild monitor state",
-                    cursor.file
-                ))
-            })?;
-
-        let mut next_day = 0u32;
-        let mut last_date: Option<Date> = None;
-        for file in &layout {
-            let key = (file.date, file.hhmm, file.name.clone());
-            if key > (target.date, target.hhmm, target.name.clone()) {
-                break;
-            }
-            let Some(pos) = self.day_pos(file.date) else {
-                continue; // pre-window stray, ignored live too
-            };
-            // Re-issue the day marks opening this file issued live.
-            for idx in next_day..pos {
-                let date = self.config.start_date.plus_days(idx as i64);
-                self.engine().mark_day(idx as usize, date);
-            }
-            next_day = next_day.max(pos);
-            let is_target = file.name == cursor.file;
-            let limit = if is_target { cursor.offset } else { u64::MAX };
-            let mut tailer = FileTailer::open(&file.path, 0);
-            let pass = tailer.poll()?;
-            let available = tailer.consumed();
-            if is_target && available < cursor.offset {
-                return Err(bad(format!(
-                    "cursor offset {} of {} exceeds its {} decodable bytes",
-                    cursor.offset, cursor.file, available
-                )));
-            }
-            // Replay only records ending at or below the byte limit
-            // (`ends` carries absolute offsets, skipped records
-            // included, so the cut is exact).
-            let replay: Vec<_> = pass
-                .records
-                .into_iter()
-                .zip(&pass.ends)
-                .take_while(|(_, end)| **end <= limit)
-                .map(|(rec, _)| rec)
-                .collect();
-            self.engine().ingest_all(&replay);
-            self.engine().drain_events(); // regenerated, already durable
-            last_date = Some(file.date);
-            if is_target {
-                self.current = Some((file.clone(), FileTailer::open(&file.path, cursor.offset)));
-                break;
-            }
-            self.done_key = Some(key);
-            self.seen.insert(file.name.clone());
-        }
-        if cursor.next_day == next_day + 1 {
-            // The cursor file's own day was already marked (the
-            // follower was finalized, or crashed right after): re-issue
-            // the engine-side mark the live run had issued.
-            let date = self.config.start_date.plus_days(next_day as i64);
-            self.engine().mark_day(next_day as usize, date);
-            self.engine().drain_events();
-        } else if cursor.next_day != next_day {
-            return Err(bad(format!(
-                "cursor next_day {} does not match the archive's day structure ({next_day}); \
-                 was the follower reconfigured?",
-                cursor.next_day
-            )));
-        }
-        self.seen.insert(cursor.file.clone());
-        self.last_ingested_date = last_date;
-        self.watermarks = self.service.tail_watermarks().into_iter().collect();
-        self.cursor = cursor;
-        self.status.add_resume();
-        Ok(())
-    }
-
-    /// Drops drained events the durable log already holds (resume
-    /// after a seal-vs-cursor crash window).
-    fn filter_duplicates(&self, drained: Vec<SeqEvent>) -> Vec<SeqEvent> {
-        if self.watermarks.is_empty() {
-            return drained;
-        }
-        let before = drained.len();
-        let fresh: Vec<SeqEvent> = drained
-            .into_iter()
-            .filter(|e| self.watermarks.get(&e.shard).is_none_or(|w| e.seq > *w))
-            .collect();
-        let suppressed = (before - fresh.len()) as u64;
-        if suppressed > 0 {
-            self.status.add_suppressed(suppressed);
-        }
-        fresh
-    }
-
-    /// Drains the engine into the service and seals, then persists
-    /// the cursor at the current position — the durable commit point.
-    fn durable_checkpoint(&mut self) -> io::Result<()> {
-        let drained = self.engine().drain_events();
-        let fresh = self.filter_duplicates(drained);
-        self.service.append(&fresh)?;
-        self.service.checkpoint()?;
-        self.persist_cursor()?;
-        self.status.add_checkpoint();
-        Ok(())
-    }
-
-    /// Marks day `idx` through the engine and the service (sealing
-    /// and publishing an epoch), then persists the cursor.
-    fn mark_day(&mut self, idx: u32, date: Date) -> io::Result<()> {
-        self.engine().mark_day(idx as usize, date);
-        let drained = self.engine().drain_events();
-        let fresh = self.filter_duplicates(drained);
-        self.service.append(&fresh)?;
-        self.service.mark_day(idx as usize)?;
-        self.cursor.next_day = idx + 1;
-        self.days_marked += 1;
-        self.status.reset_day_files();
-        Ok(())
-    }
-
-    /// Marks every day position in `cursor.next_day..through`: the
-    /// most recent ingested date is a real day mark, anything else is
-    /// a gap (surfaced and tallied). Shared by the live open path
-    /// (exclusive of the file being opened) and finalization
-    /// (inclusive of the finalized file's own day).
-    fn mark_days_before(&mut self, through: u32, progress: &mut FeedProgress) -> io::Result<()> {
-        for idx in self.cursor.next_day..through {
-            let date = self.config.start_date.plus_days(idx as i64);
-            if Some(date) != self.last_ingested_date {
-                self.cursor.gaps += 1;
-                progress.gaps += 1;
-                self.status.push_gap(FeedGap { date, day: idx });
-            }
-            self.mark_day(idx, date)?;
-            progress.days_marked += 1;
-        }
-        Ok(())
-    }
-
-    /// Folds one tail pass into the engine and the counters.
-    fn ingest_pass(&mut self, pass: &crate::tail::TailPass, progress: &mut FeedProgress) {
-        if pass.bytes_read > 0 || !pass.records.is_empty() {
-            self.stage_decode.observe(pass.decode_micros);
-            let tracer = self.registry.tracer();
-            tracer.record_stage(
-                tracer.current(),
-                "mrt_decode",
-                std::time::Duration::from_micros(pass.decode_micros),
-            );
-        }
-        if !pass.records.is_empty() {
-            let mut newest = 0u64;
-            for rec in &pass.records {
-                self.status.observe_event_at(rec.timestamp as u64);
-                newest = newest.max(rec.timestamp as u64);
-            }
-            self.engine_metrics.lag.observe_ingested(newest);
-            self.engine
-                .as_mut()
-                .expect("engine present")
-                .ingest_all(&pass.records);
-            self.cursor.records += pass.records.len() as u64;
-            progress.records += pass.records.len() as u64;
-        }
-        if pass.records_skipped > 0 {
-            self.status.add_skipped(pass.records_skipped);
-        }
-        self.bytes_since_checkpoint += pass.bytes_read;
-    }
-
-    /// Tallies the current file's tail pathology (poisoned scan or
-    /// leftover partial bytes) exactly once.
-    fn note_bad_tail(&mut self) {
-        if !self.current_tail_noted {
-            self.current_tail_noted = true;
-            self.status.add_truncated_tail();
-        }
-    }
-
-    fn persist_cursor(&mut self) -> io::Result<()> {
-        if let Some((file, tailer)) = &self.current {
-            self.cursor.file = file.name.clone();
-            self.cursor.offset = tailer.consumed();
-        }
-        self.cursor.shards = self.config.monitor.shards as u32;
-        self.cursor.persist(self.service.dir())?;
-        self.bytes_since_checkpoint = 0;
-        Ok(())
-    }
-
-    fn publish_status(&self, caught_up: bool) {
-        let (file, offset) = match &self.current {
-            Some((f, t)) => (f.name.as_str(), t.consumed()),
-            None => (self.cursor.file.as_str(), self.cursor.offset),
-        };
-        self.status.set_position(file, offset);
-        self.status.set_caught_up(caught_up);
-        self.status
-            .set_counts(self.cursor.records, self.cursor.gaps, self.days_marked);
+        self.federation.first_collector().0
     }
 
     /// One discovery-and-ingest pass: register newly landed files,
     /// finish every file a newer file has finalized (marking days and
     /// gaps), and tail the in-flight newest file. Returns what
-    /// happened; call in a loop (or via [`FeedFollower::run`]).
+    /// happened; call in a loop.
     pub fn poll_once(&mut self) -> io::Result<FeedProgress> {
-        let started = Instant::now();
-        // Root span of the ingest trace. Published as the ambient
-        // context for the duration of the pass: tail/decode record
-        // under it directly, shard-apply contexts cross the channel
-        // in `ShardMsg::Batch`, and the history append/seal/publish
-        // stages (driven from this thread) pick it up ambiently.
-        let registry = Arc::clone(&self.registry);
-        let span = registry.tracer().span("feed_poll");
-        registry.tracer().set_current(span.context());
-        let result = self.poll_once_inner();
-        registry.tracer().clear_current();
-        span.finish();
-        self.stage_poll.observe_duration(started.elapsed());
-        result
-    }
-
-    fn poll_once_inner(&mut self) -> io::Result<FeedProgress> {
-        let mut progress = FeedProgress::default();
-        let layout = scan_layout(&self.config.archive_dir)?;
-
-        // Register arrivals; anything below the selection floor is a
-        // late file the history cannot absorb.
-        let current_name = self.current.as_ref().map(|(f, _)| f.name.clone());
-        for file in &layout {
-            if self.seen.contains(&file.name) {
-                continue;
-            }
-            self.seen.insert(file.name.clone());
-            self.status.add_file_seen();
-            let below_floor = self
-                .done_key
-                .as_ref()
-                .is_some_and(|k| file.sort_key() <= floor(k))
-                || self.day_pos(file.date).is_none();
-            if below_floor && Some(&file.name) != current_name.as_ref() {
-                self.status.add_late_file();
-            }
-        }
-
-        loop {
-            match self.current.take() {
-                None => {
-                    // Open the next unconsumed file in timestamp order.
-                    let next = layout
-                        .iter()
-                        .filter(|f| self.day_pos(f.date).is_some())
-                        .find(|f| {
-                            self.done_key
-                                .as_ref()
-                                .is_none_or(|k| f.sort_key() > floor(k))
-                        })
-                        .cloned();
-                    let Some(file) = next else {
-                        progress.caught_up = true;
-                        break;
-                    };
-                    // Opening a file of a later date completes every
-                    // day before it: the previous ingested date is a
-                    // real day mark, days with no file are gaps.
-                    let pos = self.day_pos(file.date).expect("filtered above");
-                    self.mark_days_before(pos, &mut progress)?;
-                    if !self.cursor.file.is_empty() && self.cursor.file != file.name {
-                        self.cursor.files_done += 1;
-                    }
-                    self.current = Some((file.clone(), FileTailer::open(&file.path, 0)));
-                    self.current_tail_noted = false;
-                    self.persist_cursor()?;
-                }
-                Some((file, mut tailer)) => {
-                    let tail_started = Instant::now();
-                    let pass = tailer.poll()?;
-                    self.stage_tail.observe_duration(tail_started.elapsed());
-                    let tracer = self.registry.tracer();
-                    tracer.record_stage(tracer.current(), "feed_tail", tail_started.elapsed());
-                    self.current = Some((file, tailer));
-                    self.ingest_pass(&pass, &mut progress);
-                    let (file, mut tailer) = self.current.take().expect("just stored");
-                    // A poisoned scan is surfaced the moment it is
-                    // detected, not a day later when a newer file
-                    // finally declares this one finished.
-                    if tailer.poisoned() {
-                        self.note_bad_tail();
-                    }
-
-                    // Final once any newer file exists.
-                    let is_final = layout.iter().any(|f| f.sort_key() > file.sort_key());
-                    if is_final {
-                        if tailer.pending_bytes() > 0 || tailer.poisoned() {
-                            self.note_bad_tail();
-                            tailer.finalize();
-                        }
-                        self.last_ingested_date = Some(file.date);
-                        self.done_key = Some((file.date, file.hhmm, file.name.clone()));
-                        self.current = Some((file, tailer));
-                        self.durable_checkpoint()?;
-                        self.current = None;
-                        progress.files_closed += 1;
-                        self.status.add_file_done();
-                        continue; // next file (or catch-up exit)
-                    }
-
-                    // In-flight newest file: everything currently
-                    // available is consumed — caught up until the
-                    // collector appends more.
-                    self.current = Some((file, tailer));
-                    if self.config.checkpoint_bytes > 0
-                        && self.bytes_since_checkpoint >= self.config.checkpoint_bytes
-                    {
-                        self.durable_checkpoint()?;
-                    }
-                    progress.caught_up = true;
-                    break;
-                }
-            }
-        }
-
-        self.status.set_files(
-            self.cursor.files_done,
-            layout
-                .iter()
-                .filter(|f| {
-                    self.done_key
-                        .as_ref()
-                        .is_none_or(|k| f.sort_key() > floor(k))
-                })
-                .count() as u64,
-        );
-        // Stream-time lag: how far the ingest position trails the
-        // newest discovered file's encoded timestamp. Both sides are
-        // unix seconds (file names encode UTC day + HHMM, records
-        // carry unix timestamps). Caught up means zero by definition —
-        // everything discovered has been consumed.
-        let lag = if progress.caught_up {
-            0
-        } else {
-            let newest = layout.iter().map(file_head_ts).max().unwrap_or(0);
-            newest.saturating_sub(self.status.snapshot().last_event_at)
-        };
-        self.status.set_lag_seconds(lag);
-        self.publish_status(progress.caught_up);
-        Ok(progress)
+        self.federation.poll_once()
     }
 
     /// Declares the in-flight file complete — the collector will not
@@ -620,71 +113,15 @@ impl FeedFollower {
     /// its day. The shape tests and window-bounded replays need: the
     /// last archive day has no successor file to finalize it.
     pub fn finalize(&mut self) -> io::Result<FeedProgress> {
-        let mut progress = self.poll_once()?;
-        let Some((file, mut tailer)) = self.current.take() else {
-            return Ok(progress);
-        };
-        let pass = tailer.poll()?;
-        self.current = Some((file, tailer));
-        self.ingest_pass(&pass, &mut progress);
-        let (file, mut tailer) = self.current.take().expect("just stored");
-        if tailer.pending_bytes() > 0 || tailer.poisoned() {
-            self.note_bad_tail();
-            tailer.finalize();
-        }
-        let pos = self.day_pos(file.date).expect("current file is in-window");
-        self.last_ingested_date = Some(file.date);
-        self.done_key = Some((file.date, file.hhmm, file.name.clone()));
-        self.current = Some((file, tailer));
-        self.status.add_file_done();
-        // The file's own day is complete too: mark through it.
-        self.mark_days_before(pos + 1, &mut progress)?;
-        self.persist_cursor()?;
-        self.status.add_checkpoint();
-        progress.files_closed += 1;
-        self.status.set_lag_seconds(0);
-        self.publish_status(true);
-        Ok(progress)
+        self.federation.finalize()
     }
 
     /// Graceful stop: checkpoints at the exact current byte offset,
     /// shuts the engine down, and returns the final cursor plus the
     /// monitor's report (day slices, §VII alarms, counters).
-    pub fn shutdown(mut self) -> io::Result<(FeedCursor, MonitorReport)> {
-        self.durable_checkpoint()?;
-        self.status.set_running(false);
-        let report = self
-            .engine
-            .take()
-            .expect("engine present until shutdown")
-            .finish();
-        Ok((self.cursor.clone(), report))
-    }
-
-    /// Polls on an interval until `stop` flips, then shuts down
-    /// gracefully. The blocking loop behind a deployment's feed
-    /// thread.
-    pub fn run(mut self, interval: Duration, stop: Arc<AtomicBool>) -> io::Result<FeedCursor> {
-        while !stop.load(Ordering::Relaxed) {
-            let progress = self.poll_once()?;
-            if progress.caught_up {
-                std::thread::sleep(interval);
-            }
-        }
-        self.shutdown().map(|(cursor, _)| cursor)
-    }
-
-    /// [`FeedFollower::run`] on a named background thread.
-    pub fn spawn(
-        self,
-        interval: Duration,
-        stop: Arc<AtomicBool>,
-    ) -> io::Result<JoinHandle<io::Result<FeedCursor>>> {
-        std::thread::Builder::new()
-            .name("moas-feed-follower".into())
-            .spawn(move || {
-                let _registered = moas_obs::prof::register_thread();
-                self.run(interval, stop)
-            })
+    pub fn shutdown(self) -> io::Result<(FeedCursor, MonitorReport)> {
+        let (cursors, report) = self.federation.shutdown()?;
+        let cursor = cursors.into_iter().next().expect("one collector");
+        Ok((cursor, report))
     }
 }

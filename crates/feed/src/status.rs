@@ -55,9 +55,9 @@ pub struct FeedStatus {
     /// federation: every series carries a `collector` label (the
     /// per-collector `moas_feed_lag_seconds{collector=...}` gauges
     /// replace the single ambient one), gap journal events are scoped
-    /// to it, and the status JSON leads with it. `None` for the
-    /// legacy single follower — registration and JSON shape are
-    /// byte-identical to pre-federation builds.
+    /// to it, and the status JSON leads with it. `None` for a
+    /// one-collector feed (a single follower) — unlabeled series and
+    /// the plain single-feed JSON shape.
     collector: Option<String>,
 }
 
@@ -230,7 +230,7 @@ impl FeedStatus {
     }
 
     /// The collector name when this block is one federation vantage
-    /// point (`None` for the legacy single follower).
+    /// point (`None` for a one-collector feed).
     pub fn collector(&self) -> Option<&str> {
         self.collector.as_deref()
     }
@@ -360,8 +360,7 @@ impl FeedStatus {
     }
 
     /// The JSON shape `/v1/feed` serves. A federation vantage point
-    /// leads with its collector name; the legacy single follower's
-    /// shape is unchanged.
+    /// leads with its collector name; a one-collector feed has none.
     pub fn to_json(&self) -> Value {
         let s = self.snapshot();
         let mut fields = Vec::new();

@@ -142,13 +142,10 @@ pub(crate) fn maintain_once(shared: &Shared) -> io::Result<bool> {
             publish_epoch(shared, &st);
         }
         if let Some(r) = &registry {
-            r.stage_histogram("compaction")
-                .observe_duration(started.elapsed());
             // If an ingest poll trace is ambient when the sweep
             // finishes, the compaction span joins it; a standalone
             // sweep profiles as its own root.
-            let t = r.tracer();
-            t.record_stage(t.current(), "compaction", started.elapsed());
+            r.stage("compaction").observe(started.elapsed());
             r.journal().record(
                 "compaction",
                 format!(

@@ -293,15 +293,13 @@ pub(crate) fn publish_epoch(shared: &Shared, st: &StoreState) {
         {
             metrics.lag.observe_served(newest as u64);
         }
-        metrics
-            .registry()
-            .stage_histogram("epoch_publish")
-            .observe_duration(started.elapsed());
         // Publishes triggered by the writer thread carry its ambient
         // poll context, completing the discovery-to-served-epoch
         // trace.
-        let t = metrics.registry().tracer();
-        t.record_stage(t.current(), "epoch_publish", started.elapsed());
+        metrics
+            .registry()
+            .stage("epoch_publish")
+            .observe(started.elapsed());
     }
 }
 

@@ -158,10 +158,10 @@ pub struct HistoryStore {
     open_report: OpenReport,
 }
 
-/// Per-stage latency histograms for the store's disk work.
+/// Stage handles (latency histogram + span) for the store's disk work.
 struct StoreStageTimers {
-    append: moas_obs::Histogram,
-    seal: moas_obs::Histogram,
+    append: moas_obs::Stage,
+    seal: moas_obs::Stage,
 }
 
 impl HistoryStore {
@@ -346,8 +346,8 @@ impl HistoryStore {
     pub fn attach_metrics(&mut self, metrics: Arc<EngineMetrics>) {
         let registry = metrics.registry();
         self.stages = Some(StoreStageTimers {
-            append: registry.stage_histogram("event_append"),
-            seal: registry.stage_histogram("segment_seal"),
+            append: registry.stage("event_append"),
+            seal: registry.stage("segment_seal"),
         });
         self.metrics = Some(metrics);
         self.publish_metrics();
@@ -439,16 +439,11 @@ impl HistoryStore {
         }
         if let Some(s) = &self.stages {
             // One observation per append call (a drained batch), the
-            // unit of work the service hands the store.
-            s.append.observe_duration(started.elapsed());
-        }
-        if let Some(m) = &self.metrics {
-            // Appends run on the writer thread while its poll span is
-            // the ambient context, so the span lands in that trace;
-            // appends outside any trace still profile as their own
-            // root.
-            let t = m.registry().tracer();
-            t.record_stage(t.current(), "event_append", started.elapsed());
+            // unit of work the service hands the store. Appends run on
+            // the writer thread while its poll span is the ambient
+            // context, so the span lands in that trace; appends
+            // outside any trace still profile as their own root.
+            s.append.observe(started.elapsed());
         }
         Ok(sealed)
     }
@@ -488,11 +483,7 @@ impl HistoryStore {
         self.swap_manifest()?;
         self.publish_metrics();
         if let Some(s) = &self.stages {
-            s.seal.observe_duration(started.elapsed());
-        }
-        if let Some(m) = &self.metrics {
-            let t = m.registry().tracer();
-            t.record_stage(t.current(), "segment_seal", started.elapsed());
+            s.seal.observe(started.elapsed());
         }
         Ok(Some(SealedSegment {
             file: open.file,

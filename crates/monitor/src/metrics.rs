@@ -3,7 +3,7 @@
 //! never contends with the hot path — and so one `GET /metrics`
 //! scrape covers the engine alongside every other pipeline layer.
 
-use moas_obs::{Counter, Gauge, Histogram, LagTracker, Registry};
+use moas_obs::{Counter, Gauge, LagTracker, Registry, Stage};
 use std::sync::Arc;
 
 /// Live counters for a running engine, all registered on one shared
@@ -50,8 +50,8 @@ pub struct EngineMetrics {
     /// Conflict records an attached history store has compacted.
     pub store_records_compacted: Gauge,
     /// Wall-clock spent applying one routed batch inside a shard
-    /// worker (microseconds).
-    pub stage_shard_apply: Histogram,
+    /// worker (microseconds), recorded with its span.
+    pub stage_shard_apply: Stage,
     /// End-to-end ingest-to-serve lag watermarks (fed by the feed
     /// follower and the history service when both share this
     /// registry).
@@ -133,7 +133,7 @@ impl EngineMetrics {
                 "moas_store_records_compacted",
                 "Conflict records in the installed record table.",
             ),
-            stage_shard_apply: r.stage_histogram("shard_apply"),
+            stage_shard_apply: registry.stage("shard_apply"),
             lag: LagTracker::new(r),
             registry: Arc::clone(registry),
         }

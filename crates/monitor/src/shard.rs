@@ -199,12 +199,9 @@ pub fn run_shard(
                 // stage histogram prices the unit of work the channel
                 // moves, and the hot path pays two atomic adds per
                 // batch instead of per route.
-                let elapsed = started.elapsed();
-                metrics.stage_shard_apply.observe_duration(elapsed);
                 metrics
-                    .registry()
-                    .tracer()
-                    .record_stage(ctx, "shard_apply", elapsed);
+                    .stage_shard_apply
+                    .observe_under(ctx, started.elapsed());
                 batches += 1;
                 if batches % 64 == 1 {
                     state_bytes.set(state.approx_bytes());

@@ -19,7 +19,9 @@
 //!   stage (MRT decode, shard apply, event append, segment seal,
 //!   compaction, epoch publish, feed poll/tail, request
 //!   parse/route/serialize) as a labeled series of one shared
-//!   `moas_stage_duration_us` histogram family.
+//!   `moas_stage_duration_us` histogram family; [`Registry::stage`]
+//!   pairs that series with the tracer, so a self-timed stage records
+//!   its histogram observation and its span in one call.
 //! * [`LagTracker`] — the derived end-to-end `ingest_to_serve_lag`
 //!   gauge: newest record timestamp ingested vs. the timestamp
 //!   horizon of the epoch currently served.
@@ -91,7 +93,7 @@ pub use alert::{AlertDirection, AlertEngine, AlertInput, AlertRule, AlertSeverit
 pub use journal::{EventJournal, JournalEvent};
 pub use lag::LagTracker;
 pub use prof::{CpuLedger, Profiler, StageProfile};
-pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, Registry};
+pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, Registry, Stage};
 pub use resource::ResourceLedger;
 pub use trace::{Span, SpanContext, SpanRecord, Tracer};
 pub use tsdb::{Sampler, SeriesPoints, Tsdb, TsdbConfig};

@@ -19,10 +19,11 @@
 //! the `+Inf` bucket.
 
 use crate::journal::EventJournal;
-use crate::trace::Tracer;
+use crate::trace::{SpanContext, Tracer};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Finite histogram buckets: upper bounds `2^0 ..= 2^63`. One extra
 /// overflow slot (rendered only into `+Inf`) catches larger values.
@@ -269,6 +270,36 @@ struct Entry {
 
 type SeriesKey = (String, Vec<(String, String)>);
 
+/// One named pipeline stage, for sites that time themselves: each
+/// observation lands in the stage's `moas_stage_duration_us` series
+/// *and* as a span through [`Tracer::record_stage`], from the same
+/// measured duration — the histogram sums and the profiler's
+/// per-stage time are fed by one call, not two that must agree.
+#[derive(Debug, Clone)]
+pub struct Stage {
+    name: &'static str,
+    histogram: Histogram,
+    registry: Arc<Registry>,
+}
+
+impl Stage {
+    /// Records one occurrence under the ambient ingest context
+    /// ([`Tracer::current`]); outside any trace it profiles as its own
+    /// root. Returns the recorded span's context.
+    pub fn observe(&self, elapsed: Duration) -> SpanContext {
+        self.observe_under(self.registry.tracer().current(), elapsed)
+    }
+
+    /// Records one occurrence under an explicit `parent` — for stages
+    /// whose trace context crossed a thread boundary with the work.
+    pub fn observe_under(&self, parent: SpanContext, elapsed: Duration) -> SpanContext {
+        self.histogram.observe_duration(elapsed);
+        self.registry
+            .tracer()
+            .record_stage(parent, self.name, elapsed)
+    }
+}
+
 /// The central metric registry: registration map plus the embedded
 /// operational [`EventJournal`].
 ///
@@ -445,6 +476,17 @@ impl Registry {
             &[("stage", stage)],
             "Pipeline stage latency in microseconds.",
         )
+    }
+
+    /// A [`Stage`] handle for `stage`: its `moas_stage_duration_us`
+    /// series plus this registry's tracer, so a self-timed stage site
+    /// records both with one call.
+    pub fn stage(self: &Arc<Self>, stage: &'static str) -> Stage {
+        Stage {
+            name: stage,
+            histogram: self.stage_histogram(stage),
+            registry: Arc::clone(self),
+        }
     }
 
     /// The value of a registered counter or gauge, for tests and
@@ -674,6 +716,23 @@ fn escape_help(v: &str, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stage_records_histogram_and_span_in_one_call() {
+        let registry = Arc::new(Registry::new());
+        let stage = registry.stage("demo_stage");
+        let root = registry.tracer().span("root");
+        let child = stage.observe_under(root.context(), Duration::from_micros(40));
+        assert_eq!(child.trace, root.context().trace, "joins the parent trace");
+        let lone = stage.observe(Duration::from_micros(2));
+        assert_ne!(
+            lone.trace,
+            root.context().trace,
+            "no ambient trace: own root"
+        );
+        let snap = registry.stage_histogram("demo_stage").snapshot();
+        assert_eq!((snap.count(), snap.sum), (2, 42));
+    }
 
     #[test]
     fn bucket_index_covers_the_u64_range() {

@@ -730,11 +730,20 @@ fn v1_cursor_migrates_mid_stream_without_replay() {
         drop(follower);
         cursor
     };
-    let on_disk = std::fs::read_to_string(store.join("FEED_CURSOR")).unwrap();
-    assert!(
-        on_disk.starts_with("MFCUR001"),
-        "the single follower writes the v1 format: {on_disk:?}"
+    // The store as a pre-federation build left it: the same position
+    // as a literal v1 cursor line.
+    let v1 = format!(
+        "MFCUR001 file={} offset={} next_day={} files_done={} gaps={} records={} shards={}",
+        killed_cursor.file,
+        killed_cursor.offset,
+        killed_cursor.next_day,
+        killed_cursor.files_done,
+        killed_cursor.gaps,
+        killed_cursor.records,
+        killed_cursor.shards
     );
+    let crc = moas_history::codec::crc32(v1.as_bytes());
+    std::fs::write(store.join("FEED_CURSOR"), format!("{v1} crc={crc:08x}\n")).unwrap();
 
     // The collector finishes the window; a federation adopts the store.
     sim.finish_day().unwrap();
@@ -780,6 +789,171 @@ fn v1_cursor_migrates_mid_stream_without_replay() {
     close_service(service);
     std::fs::remove_dir_all(&archive).ok();
     std::fs::remove_dir_all(&store).ok();
+}
+
+/// `finalize` is one-shot: a day landing after it is tailed as an
+/// in-flight file again — its partial tail waits for bytes instead of
+/// being counted truncated and dropped — and the history still equals
+/// the batch fold once the collector finishes the window.
+#[test]
+fn day_landing_after_finalize_is_tailed_in_flight() {
+    let study = Study::build(StudyConfig::test(0.004));
+    let dates = window_dates(&study);
+    let batch = batch_reference(&study, &dates, "refin-ribs");
+
+    let archive = fresh("refin-archive");
+    let store = fresh("refin-store");
+    let mut collector = Collector::new(&study.world, &study.peers);
+    let mut sim = SimFeed::new(&mut collector, &archive, 0, DAYS, BACKGROUND).unwrap();
+    for _ in 0..4 {
+        sim.append_day().unwrap().expect("day in window");
+    }
+    let service = Arc::new(HistoryService::open(&store, service_config(dates[0])).unwrap());
+    let config = FederationConfig {
+        monitor: MonitorConfig::with_shards(SHARDS),
+        checkpoint_bytes: 1,
+        ..FederationConfig::new(dates[0])
+    }
+    .collector("route-views", &archive);
+    let mut fed = Federation::open(config, Arc::clone(&service)).unwrap();
+    catch_up_fed(&mut fed);
+    fed.finalize().unwrap();
+
+    // Day 4 lands truncated mid-record after the finalize.
+    let day4 = sim.begin_day().unwrap().expect("day 4 in window");
+    fed.poll_once().unwrap();
+    let feed = moas_serve::FeedStatusSource::status_json(&*fed.status());
+    assert_eq!(u(&feed, "truncated_tails"), 0, "{feed:?}");
+    let cursor = &fed.cursors()[0];
+    assert_eq!(
+        cursor.file,
+        day4.path.file_name().unwrap().to_str().unwrap()
+    );
+    assert!(
+        cursor.offset > 0 && cursor.offset < day4.bytes,
+        "cursor must sit mid-file: offset {} of {}",
+        cursor.offset,
+        day4.bytes
+    );
+
+    sim.finish_day().unwrap();
+    while sim.append_day().unwrap().is_some() {}
+    catch_up_fed(&mut fed);
+    fed.finalize().unwrap();
+    fed.shutdown().unwrap();
+    assert_history_matches_batch(
+        &service,
+        &dates,
+        &batch,
+        "finalize, land, finalize vs batch",
+    );
+    close_service(service);
+    std::fs::remove_dir_all(&archive).ok();
+    std::fs::remove_dir_all(&store).ok();
+}
+
+/// One collector is not a federation: `Federation::open` over a single
+/// archive serves the single-feed `/v1/feed` body and dedups nothing,
+/// while two collectors export the feed's poll, tail and decode stages
+/// with their profiles rooted at `feed_poll`.
+#[test]
+fn federation_status_shape_and_stages_follow_collector_count() {
+    let study = Study::build(StudyConfig::test(0.004));
+    let dates = window_dates(&study);
+    let base = fresh("shape-archives");
+    let dirs = {
+        let mut collector = Collector::new(&study.world, &study.peers);
+        let mut sim = SimFederation::new(
+            &mut collector,
+            &base,
+            0,
+            DAYS,
+            BACKGROUND,
+            vec![
+                SimCollectorSpec::new("a"),
+                SimCollectorSpec::new("b").skewed(30),
+            ],
+        )
+        .unwrap();
+        sim.write_all().unwrap();
+        sim.dirs()
+    };
+    let run = |name: &str, config: FederationConfig, registry: &Arc<moas_obs::Registry>| {
+        let store = fresh(name);
+        let service = Arc::new(HistoryService::open(&store, service_config(dates[0])).unwrap());
+        let mut fed =
+            Federation::open_with_registry(config, Arc::clone(&service), Arc::clone(registry))
+                .unwrap();
+        catch_up_fed(&mut fed);
+        fed.finalize().unwrap();
+        (fed, service, store)
+    };
+    let config = || FederationConfig {
+        monitor: MonitorConfig::with_shards(SHARDS),
+        ..FederationConfig::new(dates[0])
+    };
+
+    // One collector: the single-feed body, the one-element wrap.
+    let registry = Arc::new(moas_obs::Registry::new());
+    let (fed, service, store) = run("shape-one", config().collector("a", &dirs[0]), &registry);
+    assert_eq!(fed.status().deduped(), 0);
+    let query = Arc::new(
+        QueryService::new(service.reader(), ServerConfig::default()).with_feed_status(fed.status()),
+    );
+    let server = QueryServer::bind("127.0.0.1:0", Arc::clone(&query)).expect("bind");
+    let (code, feed) = get_json(server.local_addr(), "/v1/feed");
+    assert_eq!(code, 200);
+    assert!(
+        feed.get("collectors").is_none() && feed.get("deduped").is_none(),
+        "one collector serves the single-feed shape: {feed:?}"
+    );
+    assert!(feed.get("cursor").unwrap().get("collector").is_none());
+    assert!(u(&feed, "records") > 0);
+    let (code, cols) = get_json(server.local_addr(), "/v1/collectors");
+    assert_eq!(code, 200);
+    assert_eq!(u(&cols, "count"), 1);
+    assert_eq!(
+        cols.get("collectors").and_then(Value::as_array).unwrap()[0],
+        feed
+    );
+    server.shutdown();
+    drop(query);
+    fed.shutdown().unwrap();
+    close_service(service);
+    std::fs::remove_dir_all(&store).ok();
+
+    // Two collectors: the poll, tail and decode stages are timed and
+    // the ingest profile is rooted at the poll span.
+    let registry = Arc::new(moas_obs::Registry::new());
+    let profiler = moas_obs::Profiler::new(Arc::clone(&registry));
+    let two = config().collector("a", &dirs[0]).collector("b", &dirs[1]);
+    let (fed, service, store) = run("shape-two", two, &registry);
+    assert!(fed.status().deduped() > 0);
+    for stage in ["feed_poll", "feed_tail", "mrt_decode"] {
+        let count: u64 = registry
+            .histogram_snapshots()
+            .iter()
+            .filter(|(name, labels, _)| {
+                name == "moas_stage_duration_us"
+                    && labels.iter().any(|(k, v)| k == "stage" && v == stage)
+            })
+            .map(|(_, _, snap)| snap.count())
+            .sum();
+        assert!(
+            count > 0,
+            "moas_stage_duration_us{{stage={stage:?}}} must be observed"
+        );
+    }
+    profiler.collect();
+    let folded = profiler.folded(3600, moas_obs::tsdb::unix_now());
+    assert!(
+        folded.lines().any(|l| l.starts_with("feed_poll;")),
+        "ingest stacks must be rooted at feed_poll:\n{folded}"
+    );
+    fed.shutdown().unwrap();
+    close_service(service);
+    std::fs::remove_dir_all(&store).ok();
+    std::fs::remove_dir_all(&base).ok();
 }
 
 /// Property: the final per-origin vantage masks — and so the served
